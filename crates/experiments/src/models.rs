@@ -88,7 +88,7 @@ pub struct ArtifactSummary {
     pub lut_segments: (usize, usize, usize),
     /// Artifact file size in bytes.
     pub file_bytes: usize,
-    /// The FNV-1a 64 footer checksum.
+    /// The XXH64 footer checksum.
     pub checksum: u64,
 }
 

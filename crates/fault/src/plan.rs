@@ -54,7 +54,7 @@ pub struct FaultPlan {
     pub lut_bitflip_rate: f64,
     /// Probability each model weight payload byte takes a bit flip
     /// while resident (registry re-verification catches these through
-    /// the artifact checksum).
+    /// the artifact's XXH64 footer checksum).
     pub weight_bitflip_rate: f64,
     /// Probability each in-flight nibble operand takes a bit flip on
     /// its way to the LUT index. Storage ECC cannot see these: a

@@ -86,7 +86,7 @@ impl<'a> ModelArtifact<'a> {
         }
         let body = &bytes[..bytes.len() - format::FOOTER_LEN];
         let stored = format::read_u64(bytes, bytes.len() - format::FOOTER_LEN);
-        let computed = format::fnv1a64(body);
+        let computed = format::xxh64(body);
         if stored != computed {
             return Err(ModelError::ChecksumMismatch { stored, computed });
         }

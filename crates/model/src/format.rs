@@ -10,7 +10,7 @@
 //! offset   size  field
 //! header (104 bytes)
 //!   0        4   magic "BFRM"
-//!   4        2   format version (= 1)
+//!   4        2   format version (= 2)
 //!   6        2   flags (bit 0: weights inline)
 //!   8        8   model version (registry-assigned)
 //!   16       8   weight seed (synthetic payload generator)
@@ -48,13 +48,15 @@
 //!                2 reserved, 4 length, then the image bytes padded to
 //!                an 8-byte boundary
 //! footer (8 bytes)
-//!   FNV-1a 64 checksum of every preceding byte
+//!   XXH64 (seed 0) checksum of every preceding byte
 //! ```
 
 /// The artifact magic.
 pub const MAGIC: [u8; 4] = *b"BFRM";
-/// The single format version this crate reads and writes.
-pub const FORMAT_VERSION: u16 = 1;
+/// The single format version this crate reads and writes. Version 2
+/// replaced version 1's FNV-1a footer with XXH64; a version-1 buffer is
+/// rejected as unsupported rather than as a checksum mismatch.
+pub const FORMAT_VERSION: u16 = 2;
 /// Header flag: the weights section carries the quantized bytes inline
 /// (clear: the payload is regenerated from the header's weight seed).
 pub const FLAG_INLINE_WEIGHTS: u16 = 1;
@@ -114,15 +116,78 @@ pub mod policy_tag {
     pub const MIXED_FOUR_EIGHT: u32 = 3;
 }
 
-/// FNV-1a 64-bit checksum — a dependency-free integrity hash with a
-/// stable, well-known definition (not a cryptographic signature).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+// XXH64 primes (the published constants of the reference definition).
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// One XXH64 accumulator step over a little-endian 64-bit word.
+fn xxh64_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+fn xxh64_merge(hash: u64, acc: u64) -> u64 {
+    (hash ^ xxh64_round(0, acc))
+        .wrapping_mul(P1)
+        .wrapping_add(P4)
+}
+
+/// XXH64 with seed 0 — a dependency-free integrity hash with a stable,
+/// published definition (not a cryptographic signature). Four
+/// independent accumulators consume 32-byte stripes, so the hash runs at
+/// memory speed instead of one dependent multiply per byte.
+pub(crate) fn xxh64(bytes: &[u8]) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let tail = stripes.remainder();
+    let mut hash = if bytes.len() >= 32 {
+        let mut acc = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
+        for stripe in stripes {
+            for (i, lane) in acc.iter_mut().enumerate() {
+                *lane = xxh64_round(*lane, read_u64(stripe, 8 * i));
+            }
+        }
+        let [a, b, c, d] = acc;
+        let hash = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        acc.iter().fold(hash, |hash, &lane| xxh64_merge(hash, lane))
+    } else {
+        P5
+    };
+    hash = hash.wrapping_add(bytes.len() as u64);
+
+    let mut words = tail.chunks_exact(8);
+    for word in &mut words {
+        hash = (hash ^ xxh64_round(0, read_u64(word, 0)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
     }
-    hash
+    let mut rest = words.remainder();
+    if rest.len() >= 4 {
+        hash = (hash ^ (read_u32(rest, 0) as u64).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        hash = (hash ^ (b as u64).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(P2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(P3);
+    hash ^ (hash >> 32)
 }
 
 // Alignment-safe little-endian field readers: each copies the field
@@ -211,11 +276,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn xxh64_matches_reference_vectors() {
+        // Published XXH64 (seed 0) values; the sequences exercise every
+        // tail branch: bytes only, a 4-byte half word, whole 8-byte
+        // words, and the 4-lane stripe loop with each of those tails.
+        let seq = |n: usize| (0..n).map(|i| i as u8).collect::<Vec<u8>>();
+        assert_eq!(xxh64(b""), 0xef46db3751d8e999);
+        assert_eq!(xxh64(b"a"), 0xd24ec4f1a98c6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc2cf5ad770999);
+        let vectors: [(usize, u64); 9] = [
+            (4, 0xffced8604453cc1e),
+            (8, 0x884a173614b81b8d),
+            (31, 0xc346d2b59b4d8ee1),
+            (32, 0xcbf59c5116ff32b4),
+            (33, 0x0c535d1acafb8ead),
+            (63, 0xe26aa9e2a95f8e4f),
+            (64, 0xf7c67301db6713f0),
+            (100, 0x6ac1e58032166597),
+            (1000, 0x6ef436b00eba4078),
+        ];
+        for (n, want) in vectors {
+            assert_eq!(xxh64(&seq(n)), want, "seq{n}");
+        }
     }
 
     #[test]

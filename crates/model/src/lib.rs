@@ -6,7 +6,7 @@
 //! single buffer holding a fixed header, fixed-size per-layer records
 //! (quantization scale and zero point, precision and mode tags, mapping
 //! metadata), the LUT segment table and — inline or seed-regenerated —
-//! the quantized weight bytes, closed by an FNV-1a 64 footer checksum.
+//! the quantized weight bytes, closed by an XXH64 footer checksum.
 //!
 //! Loading is zero-copy: [`ModelArtifact::parse`] validates the buffer
 //! once and all accessors are typed views into it. Weight bytes are
@@ -38,7 +38,7 @@ pub use artifact::{
     LayerView, LutSegmentView, LutSegments, ModelArtifact, OwnedArtifact, OP_NAMES,
 };
 pub use error::ModelError;
-pub use format::{fnv1a64, policy_tag, FORMAT_VERSION, MAGIC};
+pub use format::{policy_tag, FORMAT_VERSION, MAGIC};
 pub use writer::{
     encode_kind, encode_network, op_tag, ArtifactSpec, WeightPayload, DEFAULT_WEIGHT_SEED,
 };

@@ -277,7 +277,7 @@ pub fn encode_network(network: &Network, config: &BfreeConfig, spec: &ArtifactSp
     out.extend_from_slice(&records);
     out.extend_from_slice(&weights);
     out.extend_from_slice(&luts);
-    let checksum = format::fnv1a64(&out);
+    let checksum = format::xxh64(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }

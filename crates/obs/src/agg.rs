@@ -84,8 +84,9 @@ impl AggEntry {
 
     /// Approximate percentile from the log2 histogram: the upper edge
     /// of the bucket containing the `p`-th percentile observation
-    /// (nearest-rank). Good to a factor of 2, which is what a latency
-    /// distribution sketch needs.
+    /// (nearest-rank), clamped to the recorded `[min, max]` so a
+    /// quantile never exceeds the largest value actually seen. Good to
+    /// a factor of 2, which is what a latency distribution sketch needs.
     pub fn approx_percentile(&self, p: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -95,7 +96,7 @@ impl AggEntry {
         for (i, &n) in self.log2_buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return 2f64.powi(i as i32 + 1);
+                return 2f64.powi(i as i32 + 1).max(self.min).min(self.max);
             }
         }
         self.max
@@ -252,6 +253,8 @@ mod tests {
         assert!((500.0..=1024.0).contains(&p50), "p50 sketch {p50}");
         let p99 = e.approx_percentile(99.0);
         assert!((990.0..=1024.0).contains(&p99), "p99 sketch {p99}");
+        // The 1024 edge lies above every recorded value: clamped to max.
+        assert_eq!(p99, 1000.0);
     }
 
     #[test]

@@ -141,7 +141,7 @@ proptest! {
     }
 
     /// Flipping any single bit anywhere in the buffer is rejected: the
-    /// FNV-1a footer (or an earlier structural check) catches it.
+    /// XXH64 footer (or an earlier structural check) catches it.
     #[test]
     fn any_single_bit_flip_is_rejected(index in any::<usize>(), bit in 0u32..8) {
         let mut bytes = lstm_seeded().to_vec();
@@ -150,6 +150,31 @@ proptest! {
         prop_assert!(
             ModelArtifact::parse(&bytes).is_err(),
             "bit {bit} of byte {index} flipped silently"
+        );
+    }
+
+    /// Flipping the same bit of the same word in two different 32-byte
+    /// stripes lands both flips in one XXH64 lane — the pattern on which
+    /// a naive word-wise hash cancels (two bit-63 flips under a
+    /// multiply-by-odd chain) — and is still rejected.
+    #[test]
+    fn same_lane_double_bit_flip_is_rejected(
+        first in any::<usize>(),
+        second in any::<usize>(),
+        word in 0usize..4,
+        bit in 0usize..64,
+    ) {
+        let mut bytes = lstm_inline().to_vec();
+        let stripes = (bytes.len() - 8) / 32; // full stripes before the footer
+        let first = first % stripes;
+        let second = second % stripes;
+        prop_assume!(first != second);
+        for stripe in [first, second] {
+            bytes[stripe * 32 + word * 8 + bit / 8] ^= 1 << (bit % 8);
+        }
+        prop_assert!(
+            ModelArtifact::parse(&bytes).is_err(),
+            "bit {bit} of word {word} flipped in stripes {first} and {second} silently"
         );
     }
 

@@ -13,8 +13,10 @@ use std::path::Path;
 
 use bfree::prelude::*;
 use bfree_experiments as exp;
+use bfree_obs::Unit;
 use bfree_serve::prelude::{SchedPolicy, ServeConfig, ServingSim, TenantSpec};
 use pim_nn::request::NetworkKind;
+use proptest::prelude::*;
 
 #[test]
 fn null_recorder_csvs_match_checked_in_goldens() {
@@ -131,4 +133,31 @@ fn serving_recorder_exports_a_chrome_loadable_trace() {
         .and_then(JsonValue::as_array)
         .expect("traceEvents array");
     assert!(entries.len() >= events.len());
+}
+
+proptest! {
+    /// Every sketch quantile lies within the recorded `[min, max]`: the
+    /// log2 bucket edge is an upper bound on the bucket, not a value
+    /// that was ever observed, so it must never escape the extrema.
+    #[test]
+    fn approx_percentiles_stay_within_min_and_max(
+        exponents in proptest::collection::vec(-2.0f64..30.0, 1..200),
+        p in 0.0f64..100.0,
+    ) {
+        // Log-uniform values spread the samples over many buckets.
+        let rec = AggRecorder::new();
+        for &e in &exponents {
+            rec.histogram(Subsystem::Serve, "lat", e.exp2(), Unit::Nanoseconds);
+        }
+        let entry = &rec.snapshot()[0];
+        for q in [p, 50.0, 95.0, 99.0, 100.0] {
+            let got = entry.approx_percentile(q);
+            prop_assert!(
+                (entry.min..=entry.max).contains(&got),
+                "p{q} = {got} outside [{}, {}]",
+                entry.min,
+                entry.max
+            );
+        }
+    }
 }
